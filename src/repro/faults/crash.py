@@ -7,26 +7,36 @@ Two blast radii, selected by ``shard``:
   ``stop`` restarts the agent with an empty table (the real daemon's
   supervisor restart); telemetry from before the crash is gone, which
   is exactly the evidence loss a mid-diagnosis crash inflicts.
-* ``shard >= 0``: one shard of a
-  :class:`~repro.hostd.sharded.ShardedRecordStore` loses its records
-  (a backing-store partition failure); the agent keeps sniffing and
-  repopulates the shard from post-crash traffic.
+* ``0 <= shard < N_PARTITIONS``: one source partition of the record
+  table loses its rows (a backing-store partition failure) — the
+  records whose ``crc32(flow.src) % N_PARTITIONS == shard``.  Nothing
+  is spilled; the agent keeps sniffing and repopulates the partition
+  from post-crash traffic.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Any
 
 from .base import Fault, FaultContext, FaultError, FaultParam, FaultSpec, register_fault
 
+#: source partitions a partial crash picks one of
+N_PARTITIONS = 8
+
+
+def partition_of(src: str) -> int:
+    """The record-table partition a flow from host ``src`` lives in."""
+    return zlib.crc32(src.encode("utf-8")) % N_PARTITIONS
+
 
 @register_fault
 class AgentCrashFault(Fault):
-    """Crash a host agent (or one record-store shard) mid-run."""
+    """Crash a host agent (or one partition of its record table) mid-run."""
 
     spec = FaultSpec(
         name="agent-crash",
-        summary="kill a host agent (or one record-store shard) mid-run; "
+        summary="kill a host agent (or one record-table partition) mid-run; "
         "stop= restarts it with an empty table",
         degrades="host evidence: every record the host held vanishes; "
         "diagnoses that needed its telemetry lose their witness",
@@ -34,7 +44,7 @@ class AgentCrashFault(Fault):
         "no matching records)",
         params={
             "host": FaultParam("", "the host whose agent crashes"),
-            "shard": FaultParam(-1, "record-store shard to lose (-1 = whole agent)"),
+            "shard": FaultParam(-1, "source partition to lose, 0-7 (-1 = whole agent)"),
         },
     )
 
@@ -54,12 +64,11 @@ class AgentCrashFault(Fault):
             ) from None
 
     def schedule(self, ctx: FaultContext) -> None:
-        agent = self._agent(ctx)
+        self._agent(ctx)
         shard = self.p["shard"]
-        if shard >= 0 and not hasattr(agent.store, "drop_shard"):
+        if not -1 <= shard < N_PARTITIONS:
             raise FaultError(
-                f"agent-crash: host {self.p['host']!r} has a flat record "
-                f"store; shard crashes need record_shards > 1"
+                f"agent-crash: shard must be in [-1, {N_PARTITIONS}), got {shard}"
             )
         super().schedule(ctx)
 
@@ -67,7 +76,10 @@ class AgentCrashFault(Fault):
         agent = self._agent(ctx)
         shard = self.p["shard"]
         if shard >= 0:
-            self.records_lost = agent.store.drop_shard(shard)
+            store = agent.store
+            victims = [rec for rec in store if partition_of(rec.flow.src) == shard]
+            store._drop_records(victims, spill=False)
+            self.records_lost = len(victims)
         else:
             self.records_lost = agent.crash()
 

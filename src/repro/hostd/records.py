@@ -149,33 +149,10 @@ def _record_seq(rec: "FlowRecord") -> int:
     return rec._seq
 
 
-class SeqCounter:
-    """Monotonic record-creation counter, shareable across stores.
-
-    Query results are ordered by record-creation sequence; a
-    :class:`~repro.hostd.sharded.ShardedRecordStore` hands one counter
-    to all of its shards so the merged order equals the order a single
-    flat store would have produced.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, start: int = 0):
-        self.value = start
-
-    def take(self) -> int:
-        v = self.value
-        self.value += 1
-        return v
-
-
 def _staleness(rec: FlowRecord) -> tuple[float, int]:
     # a record with no observation yet is the one being created right
     # now — never the eviction victim.  Ties on last_seen (simultaneous
-    # delivery events are common) break by creation sequence, which
-    # keeps flat and sharded stores choosing identical victims: the
-    # flat store's candidate order is already seq order, the sharded
-    # store's is shard-grouped, so the tie-break must be explicit.
+    # delivery events are common) break by creation sequence.
     t = rec.last_seen if rec.last_seen is not None else float("inf")
     return (t, rec._seq)
 
@@ -196,8 +173,7 @@ class FlowRecordStore:
 
     def __init__(self, host_name: str,
                  spill_path: Optional[Path] = None,
-                 max_records: Optional[int] = None,
-                 seq_counter: Optional[SeqCounter] = None):
+                 max_records: Optional[int] = None):
         if max_records is not None and max_records < 1:
             raise ValueError("max_records must be >= 1")
         self.host_name = host_name
@@ -210,7 +186,8 @@ class FlowRecordStore:
         #: switchID -> ([lo epochs], [(lo, seq, record)]) sorted cache
         self._sorted: dict[str, tuple[list[int],
                                       list[tuple[int, int, FlowRecord]]]] = {}
-        self._seq = seq_counter if seq_counter is not None else SeqCounter()
+        #: creation sequence of the next new record (query order)
+        self._next_seq = 0
         self._deferring = False
         #: Optional hook run before any read-side entry point (`get`,
         #: `scan_through`, ...).  The host agent points it at its
@@ -227,8 +204,8 @@ class FlowRecordStore:
     def record_for(self, flow: FlowKey) -> FlowRecord:
         rec = self._records.get(flow)
         if rec is None:
-            rec = FlowRecord(flow=flow, _store=self,
-                             _seq=self._seq.take())
+            rec = FlowRecord(flow=flow, _store=self, _seq=self._next_seq)
+            self._next_seq += 1
             self._records[flow] = rec
             if len(self._records) > self.peak_records:
                 self.peak_records = len(self._records)
@@ -320,15 +297,15 @@ class FlowRecordStore:
         victims = heapq.nsmallest(excess, self._records.values(),
                                   key=_staleness)
         self._drop_records(victims, spill=spill)
+        self.evicted += len(victims)
 
     def _drop_records(self, victims: list[FlowRecord], *,
                       spill: bool = True) -> None:
         """Spill (optionally) then unindex+drop the given records.
 
-        Shared by the local eviction policy above and by
-        :class:`~repro.hostd.sharded.ShardedRecordStore`, whose global
-        memory bound picks victims across shards and hands each shard
-        its share — the index bookkeeping is identical either way.
+        Shared by the eviction policy above and by the agent-crash
+        fault's partial loss, which drops one source partition without
+        spilling — the index bookkeeping is identical either way.
         """
         if spill and self.spill_path is not None:
             self.spill_path.parent.mkdir(parents=True, exist_ok=True)
@@ -339,7 +316,6 @@ class FlowRecordStore:
         for rec in victims:
             del self._records[rec.flow]
             self._unindex_record(rec)
-            self.evicted += 1
 
     def drop_all(self) -> int:
         """Lose every in-memory record without spilling (crash loss).
@@ -479,10 +455,7 @@ class FlowRecordStore:
 
     def _adopt_json_line(self, line: str) -> None:
         """Replay one spill-file line into the table (reload path)."""
-        self._adopt_record(FlowRecord.from_json(json.loads(line)))
-
-    def _adopt_record(self, rec: FlowRecord) -> bool:
-        """Adopt a deserialized record; True when its flow is new here."""
+        rec = FlowRecord.from_json(json.loads(line))
         prev = self._records.get(rec.flow)
         if prev is not None:
             # a later spill of the same flow supersedes the
@@ -490,7 +463,7 @@ class FlowRecordStore:
             self._unindex_record(prev)
             rec._seq = prev._seq
         else:
-            rec._seq = self._seq.take()
+            rec._seq = self._next_seq
+            self._next_seq += 1
         self._records[rec.flow] = rec
         self._index_record(rec)
-        return prev is None

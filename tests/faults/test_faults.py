@@ -5,6 +5,7 @@ import pytest
 
 from repro.deployment import SwitchPointerDeployment
 from repro.faults import FAULTS, FaultContext, FaultError, FaultPlan
+from repro.faults.crash import N_PARTITIONS, partition_of
 from repro.simnet.packet import PRIO_LOW
 from repro.simnet.topology import build_leaf_spine, build_linear
 from repro.simnet.traffic import UdpCbrSource, UdpSink
@@ -137,37 +138,41 @@ class TestAgentCrash:
         assert len(agent.store) == 1
 
     def test_shard_crash_loses_only_that_shard(self):
-        net = build_linear(2, hosts_per_switch=1)
-        deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2,
-                                         record_shards=4)
-        # several flows so shards are populated
+        net = build_linear(2, hosts_per_switch=4)
+        deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2)
+        # two flows from each of four sources, so several source
+        # partitions are populated
         for i in range(8):
             UdpSink(net.hosts["h2_0"], 100 + i)
-            UdpCbrSource(net.sim, net.hosts["h1_0"], "h2_0",
+            UdpCbrSource(net.sim, net.hosts[f"h1_{i % 4}"], "h2_0",
                          sport=100 + i, dport=100 + i, rate_bps=1e6,
                          packet_size=500, priority=PRIO_LOW, start=0.0,
                          duration=0.01)
         net.run(until=0.015)
         agent = deploy.host_agents["h2_0"]
         store = agent.store
-        populated = [i for i, shard in enumerate(store.shards)
-                     if len(shard)][0]
+        shard = partition_of("h1_0")
+        partition = [rec.flow for rec in store
+                     if partition_of(rec.flow.src) == shard]
+        assert 0 < len(partition) < len(store)
         before = len(store)
-        lost_expected = len(store.shards[populated])
-        fault = FAULTS.create("agent-crash", host="h2_0",
-                              shard=populated)
+        fault = FAULTS.create("agent-crash", host="h2_0", shard=shard)
         fault.inject(FaultContext(net, deploy))
-        assert fault.records_lost == lost_expected
-        assert len(store) == before - lost_expected
+        assert fault.records_lost == len(partition)
+        assert len(store) == before - len(partition)
+        assert all(store.get(flow) is None for flow in partition)
+        assert store.evicted == store.spilled == 0  # a loss, not a spill
         assert agent.alive                   # the agent itself survives
 
-    def test_shard_crash_on_flat_store_rejected_at_schedule(self):
+    def test_shard_crash_out_of_range_rejected_at_schedule(self):
         net = build_linear(2, hosts_per_switch=1)
         deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2)
-        plan = FaultPlan()
-        plan.add_named("agent-crash", host="h2_0", shard=0, start=0.001)
-        with pytest.raises(FaultError, match="flat record store"):
-            plan.schedule(FaultContext(net, deploy))
+        for shard in (-2, N_PARTITIONS):
+            plan = FaultPlan()
+            plan.add_named("agent-crash", host="h2_0", shard=shard,
+                           start=0.001)
+            with pytest.raises(FaultError, match="shard must be in"):
+                plan.schedule(FaultContext(net, deploy))
 
     def test_crash_is_idempotent(self):
         net = build_linear(2, hosts_per_switch=1)

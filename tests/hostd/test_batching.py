@@ -3,7 +3,6 @@
 from repro.core.epoch import EpochRange
 from repro.deployment import SwitchPointerDeployment
 from repro.hostd.records import FlowRecordStore
-from repro.hostd.sharded import ShardedRecordStore
 from repro.simnet.packet import PRIO_LOW
 from repro.simnet.topology import build_linear
 from repro.simnet.traffic import UdpCbrSource, UdpSink
@@ -48,13 +47,27 @@ class TestBatchedIngestion:
         assert agent._pending == []
         assert res.records_returned > 0
 
-    def test_batched_sharded_bounded_combination(self):
-        _, deploy = run_deployment(ingest_batch=8, record_shards=4,
-                                   records_per_host=4)
-        for agent in deploy.host_agents.values():
-            agent.flush_ingest()
-            assert isinstance(agent.store, ShardedRecordStore)
-            assert len(agent.store) <= 4
+    def test_batched_bounded_combination(self):
+        """Four flows into one host bounded at two records: eviction
+        waits for the batch end, then restores the bound."""
+        net = build_linear(2, hosts_per_switch=4)
+        deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2,
+                                         ingest_batch=8,
+                                         records_per_host=2)
+        for i in range(4):
+            UdpSink(net.hosts["h2_0"], 9000 + i)
+            UdpCbrSource(net.sim, net.hosts[f"h1_{i}"], "h2_0",
+                         sport=9000 + i, dport=9000 + i, rate_bps=20e6,
+                         packet_size=500, priority=PRIO_LOW, start=0.001,
+                         duration=0.010)
+        net.run(until=0.015)
+        store = deploy.host_agents["h2_0"].store
+        deploy.host_agents["h2_0"].flush_ingest()
+        assert len(store) <= 2
+        assert store.evicted > 0
+        # more than bound + 1 records at once: the per-packet check
+        # was deferred to the batch boundary
+        assert store.peak_records > 3
 
     def test_default_store_remains_flat_unbounded(self):
         _, deploy = run_deployment()

@@ -3,9 +3,8 @@
 The incremental analyzer's evidence model: a reader issuing
 ``since_seq`` delta rounds against a store that keeps ingesting,
 merging newer summaries over older ones by flow, must converge on
-exactly what a single query at the final watermark returns — for the
-flat and the sharded store alike, for any interleaving of ingests and
-query rounds.
+exactly what a single query at the final watermark returns, for any
+interleaving of ingests and query rounds.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.epoch import EpochRange
 from repro.hostd.query import QueryEngine
 from repro.hostd.records import FlowRecordStore
-from repro.hostd.sharded import ShardedRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
 SWITCH_SETS = (("S1",), ("S2",), ("S1", "S2"))
@@ -76,7 +74,6 @@ def _one_shot(store_factory, ops, switch, epochs):
 
 STORES = {
     "flat": lambda: FlowRecordStore("h"),
-    "sharded": lambda: ShardedRecordStore("h", n_shards=4),
 }
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.epoch import EpochRange
 from repro.hostd.query import FlowSummary, QueryEngine
 from repro.hostd.records import FlowRecordStore
-from repro.hostd.sharded import ShardedRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
 SWITCHES = ["S1", "S2", "S3", "S4", "S5"]
@@ -37,17 +36,12 @@ observation = st.tuples(
 observations = st.lists(observation, min_size=1, max_size=80)
 
 
-def build(ops, max_records=None, store=None, tie_every=None):
-    """Replay ``ops`` into a store (evictions interleave via the bound).
-
-    ``tie_every=k`` gives groups of k consecutive observations the same
-    timestamp, covering eviction tie-breaking on equal staleness.
-    """
+def build(ops, max_records=None, store=None):
+    """Replay ``ops`` into a store (evictions interleave via the bound)."""
     if store is None:
         store = FlowRecordStore("h", max_records=max_records)
     for i, (fid, nbytes, ranges) in enumerate(ops):
-        tick = i if tie_every is None else i // tie_every
-        store.ingest(flow_key(fid), nbytes=nbytes, t=0.001 * tick,
+        store.ingest(flow_key(fid), nbytes=nbytes, t=0.001 * i,
                      priority=0, switch_path=sorted(ranges),
                      ranges=ranges, observed_epoch=min(r.lo
                                                        for r in
@@ -113,57 +107,23 @@ def test_index_never_resurrects_evicted_records(ops, max_records):
             assert id(rec) in live
 
 
-# -- sharded-store equivalence (shard merge × eviction interleavings) ------
-
-@settings(max_examples=60, deadline=None)
-@given(ops=observations,
-       max_records=st.sampled_from([None, 3, 6]),
-       n_shards=st.sampled_from([2, 4, 7]),
-       tie_every=st.sampled_from([None, 1, 4]),
-       window=st.one_of(st.none(), epoch_range))
-def test_sharded_store_is_flat_store_equivalent(ops, max_records,
-                                                n_shards, tie_every,
-                                                window):
-    """For any interleaving of observations and (global-bound)
-    evictions — including ties on last_seen, where victim choice must
-    fall back to creation order on both sides — the sharded store's
-    merged queries return the same flows in the same order as the flat
-    store, and its merged top-k payloads are byte-identical."""
-    flat = build(ops, max_records=max_records, tie_every=tie_every)
-    sharded = build(ops, tie_every=tie_every,
-                    store=ShardedRecordStore(
-                        "h", max_records=max_records,
-                        n_shards=n_shards))
-    assert len(sharded) == len(flat)
-    assert [r.flow for r in sharded] == [r.flow for r in flat]
-    flat_engine, sharded_engine = QueryEngine(flat), QueryEngine(sharded)
-    for sw in SWITCHES:
-        a = flat.flows_through(sw, window)
-        b = sharded.flows_through(sw, window)
-        assert [r.flow for r in a] == [r.flow for r in b]
-        ta = flat_engine.top_k_flows(4, switch=sw, epochs=window)
-        tb = sharded_engine.top_k_flows(4, switch=sw, epochs=window)
-        assert (payload_bytes(ta.payload)
-                == payload_bytes(tb.payload))
-
+# -- spill/reload index consistency ---------------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(ops=observations,
        max_records=st.sampled_from([None, 4]),
-       n_shards=st.sampled_from([2, 5]),
        reload_bound=st.sampled_from([None, 3]))
-def test_sharded_spill_reload_keeps_index_consistent(
-        tmp_path_factory, ops, max_records, n_shards, reload_bound):
+def test_spill_reload_keeps_index_consistent(
+        tmp_path_factory, ops, max_records, reload_bound):
     """flush → load_from_disk (with or without a reload bound) must
-    leave the per-shard inverted indexes exactly describing the live
+    leave the per-switch inverted index exactly describing the live
     table — reloads and evictions never resurrect or strand records."""
     path = tmp_path_factory.mktemp("spill") / "records.jsonl"
-    store = build(ops, store=ShardedRecordStore(
-        "h", spill_path=path, max_records=max_records,
-        n_shards=n_shards))
+    store = build(ops, store=FlowRecordStore(
+        "h", spill_path=path, max_records=max_records))
     store.flush_to_disk()
-    again = ShardedRecordStore.load_from_disk(
-        "h", path, max_records=reload_bound, n_shards=n_shards)
+    again = FlowRecordStore.load_from_disk(
+        "h", path, max_records=reload_bound)
     if reload_bound is not None:
         assert len(again) <= reload_bound
     elif max_records is None:

@@ -46,8 +46,9 @@ results and commit the diff deliberately — it is the new reference:
 ```sh
 python -m pytest benchmarks/test_query_index.py \\
     benchmarks/test_sweep_smoke.py \\
-    benchmarks/test_columnar_ingest.py \\
-    benchmarks/test_engine_eventloop.py -q
+    benchmarks/test_ingest.py \\
+    benchmarks/test_engine_eventloop.py \\
+    benchmarks/test_directory.py -q
 python tools/check_bench_regression.py --update
 ```
 

@@ -53,8 +53,7 @@ TYPED_CORE = (
     f"{SRC}/directory",
     f"{SRC}/scenarios/base.py",
     f"{SRC}/simnet/workload.py",
-    f"{SRC}/hostd/columnar.py",
-    f"{SRC}/hostd/backends.py",
+    f"{SRC}/hostd/records.py",
 )
 
 #: Registry packages whose ``__init__.py`` must import every
@@ -64,7 +63,6 @@ REGISTRY_PACKAGES = (
     f"{SRC}/faults",
     f"{SRC}/sweep",
     f"{SRC}/experiment",
-    f"{SRC}/hostd",
     f"{SRC}/directory",
 )
 
@@ -697,8 +695,7 @@ class FaultProtocol(Rule):
 # ---------------------------------------------------------------------------
 
 _REGISTER_DECORATORS = {"register", "register_fault"}
-_REGISTER_CALLS = {"register_sweep", "register_experiment",
-                   "register_backend", "register_directory"}
+_REGISTER_CALLS = {"register_sweep", "register_experiment", "register_directory"}
 
 
 def _registers_something(
@@ -732,16 +729,16 @@ class RegistryCoverage(Rule):
 
     spec = RuleSpec(
         name="registry-coverage",
-        summary="every scenarios/, faults/, sweep/, experiment/ module "
-        "that registers something must be imported by its package "
-        "__init__.py",
+        summary="every scenarios/, faults/, sweep/, experiment/, "
+        "directory/ module that registers something must be imported "
+        "by its package __init__.py",
         rationale="Registration is an import side effect: a module the "
         "package aggregator never imports simply vanishes — its "
         "scenario/fault/sweep/experiment is absent from the CLI, the "
         "nightly driver, and the generated catalogues, with no error "
         "anywhere.",
         scope="src/repro/scenarios/, src/repro/faults/, "
-        "src/repro/sweep/, src/repro/experiment/, src/repro/hostd/",
+        "src/repro/sweep/, src/repro/experiment/, src/repro/directory/",
         pragma=None,
         fix="Import the module from the package __init__.py (the "
         "catalogue aggregator), the way every sibling module is.",
@@ -942,8 +939,8 @@ class TypedDefs(Rule):
         name="typed-defs",
         summary="every function in the typed-core subset (sweep/, "
         "faults/, analyzer/, directory/, scenarios/base.py, "
-        "simnet/workload.py) has complete parameter and return "
-        "annotations",
+        "simnet/workload.py, hostd/records.py) has complete parameter "
+        "and return annotations",
         rationale="CI runs mypy over exactly this subset with "
         "disallow_untyped_defs; this rule enforces the same "
         "completeness from the AST, so the gap surfaces in any "
@@ -951,8 +948,7 @@ class TypedDefs(Rule):
         scope="src/repro/sweep/, src/repro/faults/, "
         "src/repro/analyzer/, src/repro/directory/, "
         "src/repro/scenarios/base.py, "
-        "src/repro/simnet/workload.py, src/repro/hostd/columnar.py, "
-        "src/repro/hostd/backends.py",
+        "src/repro/simnet/workload.py, src/repro/hostd/records.py",
         pragma=None,
         fix="Annotate every parameter (typing.Any is acceptable where "
         "the value is genuinely dynamic) and the return type; "
