@@ -147,16 +147,13 @@ def cmd_faults_list(_args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_directory_list(_args) -> int:
-    from .directory import (available_directories, directory_memory_notes,
-                            directory_summaries, resolve_directory)
+    from .directory import DIRECTORIES, resolve_directory
     print("directory backends (scenario knobs directory_backend= / "
           "directory_bits= / directory_hashes=; docs/DIRECTORIES.md):")
-    summaries = directory_summaries()
-    notes = directory_memory_notes()
-    for name in available_directories():
-        print(f"  {name:20s} {summaries[name]}")
-        print(f"  {'':20s} memory: {notes[name]}")
-    print(f"{len(summaries)} backend(s) registered; \"auto\" resolves to "
+    for spec in DIRECTORIES.specs():
+        print(f"  {spec.name:20s} {spec.summary}")
+        print(f"  {'':20s} memory: {spec.memory_note}")
+    print(f"{len(DIRECTORIES)} backend(s) registered; \"auto\" resolves to "
           f"{resolve_directory('auto')!r} (every sketch is "
           f"superset-checked at registration: no false negatives)")
     return 0
@@ -258,7 +255,7 @@ def cmd_sweep_nightly(args) -> int:
     if args.only:
         unknown = [n for n in args.only if n not in SWEEPS]
         if unknown:
-            print(f"error: no sweep registered for {unknown[0]!r}; "
+            print(f"error: unknown sweep {unknown[0]!r}; "
                   f"known: {', '.join(names)}", file=sys.stderr)
             return 2
         names = [n for n in names if n in set(args.only)]
@@ -380,7 +377,7 @@ def cmd_experiment_nightly(args) -> int:
     if args.only:
         unknown = [n for n in args.only if n not in EXPERIMENTS]
         if unknown:
-            print(f"error: no experiment registered for {unknown[0]!r}; "
+            print(f"error: unknown experiment {unknown[0]!r}; "
                   f"known: {', '.join(names)}", file=sys.stderr)
             return 2
         names = [n for n in names if n in set(args.only)]

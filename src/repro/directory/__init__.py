@@ -6,15 +6,14 @@ the imports below to the modules that call ``register_directory``).
 """
 
 from .registry import (
+    DIRECTORIES,
     DirectoryError,
     DirectoryFactory,
     DirectorySet,
-    available_directories,
+    DirectorySpec,
     decode_directory_set,
     default_directory_backend,
     directory_markdown,
-    directory_memory_notes,
-    directory_summaries,
     make_directory_set,
     register_directory,
     resolve_directory,
@@ -28,18 +27,17 @@ from .bloom import BloomDirectorySet
 from .lsh import SIG_ROWS, LshDirectorySet
 
 __all__ = [
+    "DIRECTORIES",
     "BloomDirectorySet",
     "DirectoryError",
     "DirectoryFactory",
     "DirectorySet",
+    "DirectorySpec",
     "LshDirectorySet",
     "SIG_ROWS",
-    "available_directories",
     "decode_directory_set",
     "default_directory_backend",
     "directory_markdown",
-    "directory_memory_notes",
-    "directory_summaries",
     "make_directory_set",
     "register_directory",
     "resolve_directory",

@@ -27,7 +27,12 @@ from typing import Iterator
 
 from ..core.pointer import PointerSet
 from .hashing import slot_hashes
-from .registry import DirectoryError, DirectorySet, register_directory
+from .registry import (
+    DirectoryError,
+    DirectorySet,
+    DirectorySpec,
+    register_directory,
+)
 
 _BIT_MASKS = [1 << i for i in range(8)]
 
@@ -149,12 +154,13 @@ class BloomDirectorySet:
         return self.m_bits
 
 
-@register_directory(
-    "bloom",
-    summary="k-hash bloom filter; false-positive rate falls as the "
-    "bit budget grows, exact at saturation",
-    memory_note="`min(directory_bits, S)` filter bits per set "
-    "(0 = saturating: `S` bits, bit-identical to `exact`)",
+register_directory(
+    DirectorySpec(
+        name="bloom",
+        summary="k-hash bloom filter; false-positive rate falls as the "
+        "bit budget grows, exact at saturation",
+        memory_note="`min(directory_bits, S)` filter bits per set "
+        "(0 = saturating: `S` bits, bit-identical to `exact`)",
+        factory=BloomDirectorySet,
+    )
 )
-def _bloom_factory(n_slots: int, bits: int, hashes: int) -> DirectorySet:
-    return BloomDirectorySet(n_slots, bits, hashes)

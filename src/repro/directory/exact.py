@@ -12,14 +12,19 @@ backends exist to trade against.
 from __future__ import annotations
 
 from ..core.pointer import PointerSet
-from .registry import DirectorySet, register_directory
+from .registry import DirectorySet, DirectorySpec, register_directory
 
 
-@register_directory(
-    "exact",
-    summary="one-bit-per-host PointerSet bitmap — the equivalence "
-    "reference (zero false positives)",
-    memory_note="always `S` bits per set (ignores `directory_bits`)",
-)
 def _exact_factory(n_slots: int, bits: int, hashes: int) -> DirectorySet:
     return PointerSet(n_slots)
+
+
+register_directory(
+    DirectorySpec(
+        name="exact",
+        summary="one-bit-per-host PointerSet bitmap — the equivalence "
+        "reference (zero false positives)",
+        memory_note="always `S` bits per set (ignores `directory_bits`)",
+        factory=_exact_factory,
+    )
+)

@@ -24,7 +24,12 @@ from __future__ import annotations
 
 from .bloom import BloomDirectorySet
 from .hashing import row_hashes
-from .registry import DirectoryError, DirectorySet, register_directory
+from .registry import (
+    DirectoryError,
+    DirectorySet,
+    DirectorySpec,
+    register_directory,
+)
 
 #: signature width: 16 independent minhash rows per set
 SIG_ROWS = 16
@@ -117,12 +122,13 @@ class LshDirectorySet(BloomDirectorySet):
         return count
 
 
-@register_directory(
-    "lsh",
-    summary="bloom membership + banded minhash signatures for "
-    "similarity-ranked co-suspect queries",
-    memory_note="bloom budget plus a fixed 16x64-bit signature "
-    "(`directory_bits + 1024` bits per set)",
+register_directory(
+    DirectorySpec(
+        name="lsh",
+        summary="bloom membership + banded minhash signatures for "
+        "similarity-ranked co-suspect queries",
+        memory_note="bloom budget plus a fixed 16x64-bit signature "
+        "(`directory_bits + 1024` bits per set)",
+        factory=LshDirectorySet,
+    )
 )
-def _lsh_factory(n_slots: int, bits: int, hashes: int) -> DirectorySet:
-    return LshDirectorySet(n_slots, bits, hashes)

@@ -21,21 +21,25 @@ rejects any sketch that can lose a true member.
 
 This module is the registry deployments select from:
 
-* :func:`register_directory` — decorator registering a factory under a
-  name (``reprolint``'s registry-coverage rule checks every registering
-  module is reachable from the package ``__init__``).
+* :data:`DIRECTORIES` / :func:`register_directory` — backends register
+  a :class:`DirectorySpec` (``reprolint``'s registry-coverage rule
+  checks every registering module is reachable from the package
+  ``__init__``).
 * :func:`make_directory_set` — build a set by backend name; ``"auto"``
   picks ``"exact"`` unless a process-wide override is active.
 * :func:`use_directory_backend` / :func:`set_default_directory_backend`
   — override what ``"auto"`` resolves to, so a test harness can run
   every scenario on a chosen backend without threading a knob through
-  each scenario (the ``hostd.backends`` idiom, one registry up).
+  each scenario.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Protocol, runtime_checkable
+
+from ..core.registry import Registry
 
 
 class DirectoryError(Exception):
@@ -107,9 +111,22 @@ class DirectorySet(Protocol):
 #: factory signature: (n_slots, directory_bits, directory_hashes)
 DirectoryFactory = Callable[[int, int, int], DirectorySet]
 
-_BACKENDS: dict[str, DirectoryFactory] = {}
-_SUMMARIES: dict[str, str] = {}
-_MEMORY_NOTES: dict[str, str] = {}
+
+@dataclass(frozen=True)
+class DirectorySpec:
+    """Registry metadata for one directory backend.
+
+    ``memory_note`` states how the backend spends the
+    ``directory_bits`` budget (the docs catalogue and ``cli directory
+    list`` render it beside ``summary``).
+    """
+
+    name: str
+    summary: str
+    memory_note: str
+    factory: DirectoryFactory
+
+
 _default_override: Optional[str] = None
 
 #: deterministic probe the registration self-check runs every backend
@@ -159,44 +176,21 @@ def _superset_self_check(name: str, factory: DirectoryFactory) -> None:
         )
 
 
-def register_directory(
-    name: str, *, summary: str, memory_note: str
-) -> Callable[[DirectoryFactory], DirectoryFactory]:
-    """Register a directory-set factory under ``name`` (decorator).
-
-    ``memory_note`` states how the backend spends the ``directory_bits``
-    budget (the docs catalogue and ``cli directory list`` render it).
-    The factory is probed by :func:`_superset_self_check` before it is
-    accepted.
-    """
-
-    def deco(factory: DirectoryFactory) -> DirectoryFactory:
-        if name in _BACKENDS:
-            raise DirectoryError(
-                f"directory backend {name!r} already registered"
-            )
-        _superset_self_check(name, factory)
-        _BACKENDS[name] = factory
-        _SUMMARIES[name] = summary
-        _MEMORY_NOTES[name] = memory_note
-        return factory
-
-    return deco
+def _validate_directory(spec: DirectorySpec) -> None:
+    """Directory checks: a reachable name and the superset contract."""
+    if spec.name == "auto":
+        raise DirectoryError(
+            "directory backend name 'auto' is reserved: it resolves to "
+            "the default backend, never to a registered one"
+        )
+    _superset_self_check(spec.name, spec.factory)
 
 
-def available_directories() -> tuple[str, ...]:
-    """Registered backend names, sorted (``"auto"`` is always valid too)."""
-    return tuple(sorted(_BACKENDS))
-
-
-def directory_summaries() -> dict[str, str]:
-    """Name → one-line summary for docs/catalogue generation."""
-    return {name: _SUMMARIES[name] for name in available_directories()}
-
-
-def directory_memory_notes() -> dict[str, str]:
-    """Name → how the backend spends the ``directory_bits`` budget."""
-    return {name: _MEMORY_NOTES[name] for name in available_directories()}
+#: The process-wide registry every backend module registers into.
+DIRECTORIES: Registry[DirectorySpec] = Registry(
+    "directory backend", DirectoryError, validate=_validate_directory
+)
+register_directory = DIRECTORIES.register
 
 
 def default_directory_backend() -> Optional[str]:
@@ -213,11 +207,8 @@ def set_default_directory_backend(name: Optional[str]) -> None:
     per-scenario knob.
     """
     global _default_override
-    if name is not None and name != "auto" and name not in _BACKENDS:
-        raise DirectoryError(
-            f"unknown directory backend {name!r}; "
-            f"available: {', '.join(available_directories())}"
-        )
+    if name is not None and name != "auto":
+        DIRECTORIES.get(name)  # raises for an unknown backend
     _default_override = None if name == "auto" else name
 
 
@@ -236,12 +227,7 @@ def resolve_directory(backend: str) -> str:
     """Resolve a knob value (possibly ``"auto"``) to a registered name."""
     if backend == "auto":
         return _default_override if _default_override is not None else "exact"
-    if backend not in _BACKENDS:
-        raise DirectoryError(
-            f"unknown directory backend {backend!r}; "
-            f"available: {', '.join(available_directories())}"
-        )
-    return backend
+    return DIRECTORIES.get(backend).name
 
 
 def make_directory_set(
@@ -254,8 +240,8 @@ def make_directory_set(
     which is what makes the default knob values match the exact backend
     bit for bit.
     """
-    name = resolve_directory(backend)
-    return _BACKENDS[name](n_slots, bits, hashes)
+    spec = DIRECTORIES.get(resolve_directory(backend))
+    return spec.factory(n_slots, bits, hashes)
 
 
 def decode_directory_set(
@@ -272,10 +258,6 @@ def directory_markdown() -> str:
     lines = [
         "# Directory backends",
         "",
-        "<!-- generated by tools/gen_directory_docs.py — do not edit; "
-        "run `python tools/gen_directory_docs.py` after changing "
-        "src/repro/directory/ -->",
-        "",
         "A switch's per-epoch directory is held by one of the backends",
         "below (the `directory_backend` deployment knob; `auto` resolves",
         "to `exact` unless a process-wide override is active).  Every",
@@ -286,10 +268,8 @@ def directory_markdown() -> str:
         "| backend | summary | memory (`directory_bits` budget) |",
         "|---|---|---|",
     ]
-    summaries = directory_summaries()
-    notes = directory_memory_notes()
-    for name in available_directories():
-        lines.append(f"| `{name}` | {summaries[name]} | {notes[name]} |")
+    for spec in DIRECTORIES.specs():
+        lines.append(f"| `{spec.name}` | {spec.summary} | {spec.memory_note} |")
     lines += [
         "",
         "## Knobs",

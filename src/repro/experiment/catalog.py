@@ -5,7 +5,7 @@ the page and ``python -m repro.cli experiment list`` render identical
 :class:`~repro.experiment.registry.ExperimentSpec` objects.  Refresh
 with::
 
-    python tools/gen_experiment_docs.py
+    python tools/gen_docs.py
 
 A tier-1 test (and the CI docs job) asserts the checked-in page matches
 this renderer's output.
@@ -18,9 +18,6 @@ from .report import SCHEMA
 
 _PREAMBLE = """\
 # Experiments
-
-<!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python tools/gen_experiment_docs.py -->
 
 An *experiment* is a **run table**: one registered sweep
 ([SWEEPS.md](SWEEPS.md)) expanded across declared axes × N independent

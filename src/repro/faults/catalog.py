@@ -4,7 +4,7 @@
 objects the CLI ``faults list`` command prints — one source of truth.
 Refresh the checked-in page with::
 
-    python tools/gen_fault_docs.py
+    python tools/gen_docs.py
 
 A tier-1 test asserts the file matches this renderer's output, so a
 registry change without a regenerated page fails CI.
@@ -16,9 +16,6 @@ from .base import FAULTS, FaultSpec
 
 _PREAMBLE = """\
 # Fault catalog
-
-<!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python tools/gen_fault_docs.py -->
 
 Every fault is a registered plugin implementing the four-verb protocol
 (schedule → inject → heal → describe) described in

@@ -4,7 +4,7 @@
 objects the CLI ``list`` command prints — one source of truth.  Refresh
 the checked-in page with::
 
-    python tools/gen_scenario_docs.py
+    python tools/gen_docs.py
 
 A tier-1 test asserts the file matches this renderer's output, so a
 registry change without a regenerated page fails CI.
@@ -16,9 +16,6 @@ from .base import REGISTRY, ScenarioSpec
 
 _PREAMBLE = """\
 # Scenario catalog
-
-<!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python tools/gen_scenario_docs.py -->
 
 Every scenario is a registered plugin implementing the four-phase
 protocol (build → run → collect → diagnose) described in

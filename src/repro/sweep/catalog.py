@@ -4,7 +4,7 @@ Same one-source-of-truth idiom as the scenario catalogue: the page and
 ``python -m repro.cli sweep list`` render identical
 :class:`~repro.sweep.registry.SweepSpec` objects.  Refresh with::
 
-    python tools/gen_sweep_docs.py
+    python tools/gen_docs.py
 
 A tier-1 test (and the CI docs job) asserts the checked-in page matches
 this renderer's output.
@@ -19,9 +19,6 @@ from .report import SCHEMA
 
 _PREAMBLE = """\
 # Scale sweeps
-
-<!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python tools/gen_sweep_docs.py -->
 
 A *sweep* executes one registered scenario across a parameter grid —
 the thousand-host **fabric** axis and the thousand-flow **traffic**

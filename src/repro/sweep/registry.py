@@ -1,7 +1,7 @@
 """Sweep registry: which scenarios sweep, along which axes.
 
 A :class:`SweepSpec` is declared *next to the scenario it exercises*
-(same module, same registration idiom as the scenario registry of PR 2):
+(same module, same registration idiom as the scenario registry):
 
     from ..sweep import SweepSpec, register_sweep
 
@@ -24,8 +24,10 @@ both render these specs — one source of truth, like scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from importlib import import_module
+from typing import Any, Optional
 
+from ..core.registry import Registry
 from .grid import GridError
 
 
@@ -118,119 +120,76 @@ class SweepSpec:
         return f"python -m repro.cli sweep run {self.name} {grid}"
 
 
-def _load_declarations() -> None:
-    """Import the scenario package, which registers every sweep.
+def _validate_sweep(spec: SweepSpec) -> None:
+    """Sweep checks: grids, nightly coverage and knob bindings.
 
-    Sweeps are declared next to their scenarios, so a consumer that
-    imported only :mod:`repro.sweep` (benchmarks, tools) would otherwise
-    see an empty registry.  Deferred to first lookup — never module
-    scope — because scenario modules import this package to register.
+    Every axis/base knob must be declared by the spec's scenario.
+    Sweeps are declared right after their scenario class in the same
+    module, so the scenario is normally resolvable here; when it is not
+    (a sweep declared ahead of its scenario), the static
+    ``knob-declaration`` pass of ``tools/reprolint`` still covers the
+    binding.  Either way a typo'd knob name fails before any point
+    runs, with the offender named.
     """
-    from .. import scenarios  # noqa: F401
-
-
-class SweepRegistry:
-    """Sweep name → sweep-spec registry."""
-
-    def __init__(self) -> None:
-        self._specs: dict[str, SweepSpec] = {}
-
-    def register(self, spec: SweepSpec) -> SweepSpec:
-        if spec.name in self._specs:
-            raise SweepError(f"duplicate sweep name {spec.name!r}")
-        if not spec.default_grid:
-            raise SweepError(f"sweep {spec.name!r} needs a default grid")
-        if not spec.nightly_grid:
-            # every registered sweep is part of the nightly CI coverage
+    if not spec.default_grid:
+        raise SweepError(f"sweep {spec.name!r} needs a default grid")
+    if not spec.nightly_grid:
+        # every registered sweep is part of the nightly CI coverage
+        raise SweepError(
+            f"sweep {spec.name!r} needs a nightly grid "
+            f"(`sweep nightly` runs every registered spec)"
+        )
+    for grid_name in ("default_grid", "nightly_grid"):
+        for axis in getattr(spec, grid_name):
+            if axis not in spec.axes:
+                raise SweepError(
+                    f"sweep {spec.name!r}: {grid_name} axis "
+                    f"{axis!r} is not declared in axes"
+                )
+    for i, point in enumerate(spec.nightly_points):
+        bad = [axis for axis in point if axis not in spec.axes]
+        if bad:
             raise SweepError(
-                f"sweep {spec.name!r} needs a nightly grid "
-                f"(`sweep nightly` runs every registered spec)"
+                f"sweep {spec.name!r}: nightly_points[{i}] axis "
+                f"{bad[0]!r} is not declared in axes"
             )
-        for grid_name in ("default_grid", "nightly_grid"):
-            for axis in getattr(spec, grid_name):
-                if axis not in spec.axes:
-                    raise SweepError(
-                        f"sweep {spec.name!r}: {grid_name} axis "
-                        f"{axis!r} is not declared in axes"
-                    )
-        for i, point in enumerate(spec.nightly_points):
-            bad = [axis for axis in point if axis not in spec.axes]
-            if bad:
-                raise SweepError(
-                    f"sweep {spec.name!r}: nightly_points[{i}] axis "
-                    f"{bad[0]!r} is not declared in axes"
-                )
-        self._validate_knob_bindings(spec)
-        self._specs[spec.name] = spec
-        return spec
+    # call-time import: scenario modules import this package to
+    # register their sweeps, so module scope would be a cycle
+    from ..scenarios.base import REGISTRY as scenarios
 
-    @staticmethod
-    def _validate_knob_bindings(spec: SweepSpec) -> None:
-        """Every axis/base knob must be declared by the spec's scenario.
-
-        Sweeps are declared right after their scenario class in the
-        same module, so the scenario is normally resolvable here; when
-        it is not (a sweep declared ahead of its scenario), the static
-        ``knob-declaration`` pass of ``tools/reprolint`` still covers
-        the binding.  Either way a typo'd knob name fails before any
-        point runs, with the offender named.
-        """
-        # call-time import: scenario modules import this package to
-        # register their sweeps, so module scope would be a cycle
-        from ..scenarios.base import REGISTRY as scenarios
-
-        if spec.scenario not in scenarios:
-            return
-        declared = scenarios.get(spec.scenario).spec.knobs
-        for axis, knob in spec.axes.items():
-            if knob not in declared:
-                raise SweepError(
-                    f"sweep {spec.name!r}: axis {axis!r} binds knob "
-                    f"{knob!r}, which scenario {spec.scenario!r} does "
-                    f"not declare; declared: {', '.join(sorted(declared))}"
-                )
-        for source, names in (
-            ("base_knobs", spec.base_knobs),
-            ("expect_suspect_knob", [spec.expect_suspect_knob]),
-        ):
-            for knob in names:
-                if knob is not None and knob not in declared:
-                    raise SweepError(
-                        f"sweep {spec.name!r}: {source} names knob "
-                        f"{knob!r}, which scenario {spec.scenario!r} "
-                        f"does not declare; declared: "
-                        f"{', '.join(sorted(declared))}"
-                    )
-
-    def get(self, name: str) -> SweepSpec:
-        _load_declarations()
-        try:
-            return self._specs[name]
-        except KeyError:
+    if spec.scenario not in scenarios:
+        return
+    declared = scenarios.get(spec.scenario).spec.knobs
+    for axis, knob in spec.axes.items():
+        if knob not in declared:
             raise SweepError(
-                f"no sweep registered for {name!r}; "
-                f"known: {', '.join(self.names())}"
-            ) from None
-
-    def names(self) -> list[str]:
-        _load_declarations()
-        return sorted(self._specs)
-
-    def specs(self) -> list[SweepSpec]:
-        return [self._specs[name] for name in self.names()]
-
-    def __contains__(self, name: str) -> bool:
-        _load_declarations()
-        return name in self._specs
-
-    def __len__(self) -> int:
-        _load_declarations()
-        return len(self._specs)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
+                f"sweep {spec.name!r}: axis {axis!r} binds knob "
+                f"{knob!r}, which scenario {spec.scenario!r} does "
+                f"not declare; declared: {', '.join(sorted(declared))}"
+            )
+    for source, names in (
+        ("base_knobs", spec.base_knobs),
+        ("expect_suspect_knob", [spec.expect_suspect_knob]),
+    ):
+        for knob in names:
+            if knob is not None and knob not in declared:
+                raise SweepError(
+                    f"sweep {spec.name!r}: {source} names knob "
+                    f"{knob!r}, which scenario {spec.scenario!r} "
+                    f"does not declare; declared: "
+                    f"{', '.join(sorted(declared))}"
+                )
 
 
 #: The process-wide registry scenario modules register sweeps into.
-SWEEPS = SweepRegistry()
+#: Sweeps are declared next to their scenarios, so a consumer that
+#: imported only :mod:`repro.sweep` (benchmarks, tools) loads the
+#: scenario package at its first lookup — never at module scope,
+#: because scenario modules import this package to register.
+SWEEPS: Registry[SweepSpec] = Registry(
+    "sweep",
+    SweepError,
+    validate=_validate_sweep,
+    load=lambda: import_module("..scenarios", __package__),
+)
 register_sweep = SWEEPS.register

@@ -4,12 +4,11 @@ import pytest
 
 from repro.core.pointer import PointerSet
 from repro.directory import (
+    DIRECTORIES,
     DirectoryError,
-    available_directories,
+    DirectorySpec,
     decode_directory_set,
     default_directory_backend,
-    directory_memory_notes,
-    directory_summaries,
     make_directory_set,
     register_directory,
     resolve_directory,
@@ -20,20 +19,31 @@ from repro.directory import (
 
 class TestRegistry:
     def test_ships_exact_bloom_lsh(self):
-        assert set(available_directories()) >= {"exact", "bloom", "lsh"}
+        assert set(DIRECTORIES) >= {"exact", "bloom", "lsh"}
 
     def test_every_backend_has_summary_and_memory_note(self):
-        names = set(available_directories())
-        assert set(directory_summaries()) == names
-        assert set(directory_memory_notes()) == names
-        assert all(directory_summaries().values())
-        assert all(directory_memory_notes().values())
+        specs = DIRECTORIES.specs()
+        assert [spec.name for spec in specs] == DIRECTORIES.names()
+        assert all(spec.summary for spec in specs)
+        assert all(spec.memory_note for spec in specs)
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(DirectoryError, match="already registered"):
-            register_directory(
-                "exact", summary="dup", memory_note="dup"
-            )(lambda n, bits, hashes: PointerSet(n))
+        with pytest.raises(DirectoryError,
+                           match="duplicate directory backend name 'exact'"):
+            register_directory(DirectorySpec(
+                "exact", "dup", "dup", lambda n, bits, hashes: PointerSet(n)
+            ))
+
+    def test_auto_is_reserved(self):
+        """``auto`` resolves to the default, never to a registered
+        backend: registering one under that name would list a backend
+        no deployment could select."""
+        with pytest.raises(DirectoryError, match="'auto' is reserved"):
+            register_directory(DirectorySpec(
+                "auto", "shadow", "n/a", lambda n, bits, hashes: PointerSet(n)
+            ))
+        assert "auto" not in DIRECTORIES
+        assert resolve_directory("auto") == "exact"
 
     def test_lossy_backend_rejected_at_registration(self):
         """A sketch that can drop a true member never joins the registry."""
@@ -47,10 +57,11 @@ class TestRegistry:
                 super().set_slot(slot)
 
         with pytest.raises(DirectoryError, match="dropped true member"):
-            register_directory(
-                "droppy", summary="drops members", memory_note="n/a"
-            )(lambda n, bits, hashes: DroppySet(n))
-        assert "droppy" not in available_directories()
+            register_directory(DirectorySpec(
+                "droppy", "drops members", "n/a",
+                lambda n, bits, hashes: DroppySet(n),
+            ))
+        assert "droppy" not in DIRECTORIES
 
     def test_non_roundtripping_backend_rejected(self):
         class ForgetfulSet(PointerSet):
@@ -62,10 +73,11 @@ class TestRegistry:
                 self.set_slot(self.n_slots - 2)
 
         with pytest.raises(DirectoryError, match="round-trip"):
-            register_directory(
-                "forgetful", summary="lossy serialize", memory_note="n/a"
-            )(lambda n, bits, hashes: ForgetfulSet(n))
-        assert "forgetful" not in available_directories()
+            register_directory(DirectorySpec(
+                "forgetful", "lossy serialize", "n/a",
+                lambda n, bits, hashes: ForgetfulSet(n),
+            ))
+        assert "forgetful" not in DIRECTORIES
 
 
 class TestResolution:

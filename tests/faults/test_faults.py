@@ -87,14 +87,14 @@ class TestPartialDeployment:
 
     def test_unknown_spare_rejected(self):
         net, deploy = _deployed_linear()
-        fault = FAULTS.create("partial-deployment", frac=0.5,
+        fault = FAULTS.get("partial-deployment")(frac=0.5,
                               spare="S9")
         with pytest.raises(FaultError, match="unknown switch"):
             fault.inject(FaultContext(net, deploy))
 
     def test_bad_frac_rejected(self):
         with pytest.raises(FaultError, match="frac"):
-            FAULTS.create("partial-deployment", frac=1.5)
+            FAULTS.get("partial-deployment")(frac=1.5)
 
     def test_double_uninstrument_rejected(self):
         _net, deploy = _deployed_linear()
@@ -156,7 +156,7 @@ class TestAgentCrash:
                      if partition_of(rec.flow.src) == shard]
         assert 0 < len(partition) < len(store)
         before = len(store)
-        fault = FAULTS.create("agent-crash", host="h2_0", shard=shard)
+        fault = FAULTS.get("agent-crash")(host="h2_0", shard=shard)
         fault.inject(FaultContext(net, deploy))
         assert fault.records_lost == len(partition)
         assert len(store) == before - len(partition)

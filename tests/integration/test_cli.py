@@ -36,15 +36,14 @@ class TestParser:
 
 class TestDirectoryCommand:
     def test_directory_list_matches_registry(self, capsys):
-        from repro.directory import (available_directories,
-                                     directory_summaries)
+        from repro.directory import DIRECTORIES
 
         assert main(["directory", "list"]) == 0
         out = capsys.readouterr().out
-        assert set(available_directories()) >= {"exact", "bloom", "lsh"}
-        for name, summary in directory_summaries().items():
-            assert name in out
-            assert summary.split("(")[0].strip()[:40] in out
+        assert set(DIRECTORIES) >= {"exact", "bloom", "lsh"}
+        for spec in DIRECTORIES.specs():
+            assert spec.name in out
+            assert spec.summary.split("(")[0].strip()[:40] in out
         assert "'exact'" in out  # what "auto" resolves to, unoverridden
 
     def test_directory_requires_subcommand(self):

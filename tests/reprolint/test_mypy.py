@@ -7,6 +7,7 @@ annotation *completeness* everywhere, mypy adds consistency in CI.
 import importlib.util
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ TYPED_CORE = (
     "src/repro/scenarios/base.py",
     "src/repro/simnet/workload.py",
     "src/repro/hostd/records.py",
+    "src/repro/core/registry.py",
 )
 
 
@@ -30,6 +32,24 @@ def test_typed_core_matches_rule_definition():
     from tools.reprolint.rules import TYPED_CORE as RULE_CORE
 
     assert tuple(TYPED_CORE) == tuple(RULE_CORE)
+
+
+def test_typed_core_modules_are_strict_in_pyproject():
+    """A single-module TYPED_CORE member inside a relaxed package must
+    be named in pyproject's strict override, or mypy checks it under
+    the relaxed rules while CI believes it is typed."""
+    config = tomllib.loads((REPO / "pyproject.toml").read_text("utf-8"))
+    strict = set()
+    for override in config["tool"]["mypy"]["overrides"]:
+        if override.get("disallow_untyped_defs") is True:
+            modules = override["module"]
+            strict.update([modules] if isinstance(modules, str) else modules)
+    members = {
+        path.removeprefix("src/").removesuffix(".py").replace("/", ".")
+        for path in TYPED_CORE
+        if path.endswith(".py")
+    }
+    assert members <= strict, sorted(members - strict)
 
 
 @pytest.mark.skipif(

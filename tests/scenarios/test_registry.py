@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scenarios import (REGISTRY, Knob, Scenario, ScenarioError,
-                             ScenarioRegistry, ScenarioSpec, run_scenario)
+                             ScenarioSpec, run_scenario)
 
 
 def _spec(name, aliases=()):
@@ -29,14 +29,14 @@ class _Dummy(Scenario):
 
 class TestRegistration:
     def test_duplicate_name_rejected(self):
-        reg = ScenarioRegistry()
+        reg = REGISTRY.fresh()
         reg.register(_Dummy)
         clone = type("Clone", (_Dummy,), {"spec": _spec("dummy")})
         with pytest.raises(ScenarioError, match="duplicate"):
             reg.register(clone)
 
     def test_alias_colliding_with_name_rejected(self):
-        reg = ScenarioRegistry()
+        reg = REGISTRY.fresh()
         reg.register(_Dummy)
         other = type("Other", (_Dummy,),
                      {"spec": _spec("other", aliases=("dummy",))})
@@ -44,20 +44,37 @@ class TestRegistration:
             reg.register(other)
 
     def test_duplicate_alias_rejected(self):
-        reg = ScenarioRegistry()
+        reg = REGISTRY.fresh()
         a = type("A", (_Dummy,), {"spec": _spec("a", aliases=("x",))})
         b = type("B", (_Dummy,), {"spec": _spec("b", aliases=("x",))})
         reg.register(a)
         with pytest.raises(ScenarioError, match="duplicate"):
             reg.register(b)
 
+    def test_alias_repeated_within_one_spec_rejected(self):
+        reg = REGISTRY.fresh()
+        probe = type("Probe", (_Dummy,),
+                     {"spec": _spec("probe", aliases=("p", "p"))})
+        with pytest.raises(ScenarioError,
+                           match="duplicate scenario name 'p'"):
+            reg.register(probe)
+        assert "probe" not in reg and "p" not in reg
+
+    def test_alias_equal_to_own_name_rejected(self):
+        reg = REGISTRY.fresh()
+        probe = type("Probe", (_Dummy,),
+                     {"spec": _spec("probe", aliases=("probe",))})
+        with pytest.raises(ScenarioError,
+                           match="duplicate scenario name 'probe'"):
+            reg.register(probe)
+
     def test_class_without_spec_rejected(self):
-        reg = ScenarioRegistry()
+        reg = REGISTRY.fresh()
         with pytest.raises(ScenarioError, match="ScenarioSpec"):
             reg.register(type("NoSpec", (), {}))
 
     def test_smoke_knob_naming_undeclared_knob_rejected(self):
-        reg = ScenarioRegistry()
+        reg = REGISTRY.fresh()
         spec = ScenarioSpec(name="sk", summary="s", paper_ref="p",
                             expected_diagnosis="d",
                             knobs={"flows": Knob(1, "flow count")},

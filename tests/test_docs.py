@@ -1,24 +1,42 @@
 """Docs health: the generated catalogue is in sync with the registry,
 and intra-repo markdown links resolve (same checks CI's docs job runs)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.experiment import EXPERIMENTS, experiments_markdown
 from repro.faults import FAULTS, faults_markdown
 from repro.scenarios import REGISTRY, catalog_markdown
 from repro.sweep import SWEEPS, sweeps_markdown
+from tools.gen_docs import PAGES, benchmarks_markdown, render
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def gen_docs_check():
+    """One ``tools/gen_docs.py --check`` run, shared by the page tests."""
+    return subprocess.run(
+        [sys.executable, str(REPO / "tools" / "gen_docs.py"), "--check"],
+        capture_output=True, text=True)
+
+
+def _assert_page_up_to_date(proc, target):
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{target} is up to date" in proc.stdout
 
 
 class TestScenarioCatalog:
     def test_scenarios_md_matches_registry(self):
         """docs/SCENARIOS.md must be regenerated when the registry
-        changes (python tools/gen_scenario_docs.py)."""
+        changes (python tools/gen_docs.py)."""
         page = (REPO / "docs" / "SCENARIOS.md").read_text(encoding="utf-8")
-        assert page == catalog_markdown()
+        assert PAGES["docs/SCENARIOS.md"] is catalog_markdown
+        assert page == render("docs/SCENARIOS.md")
 
     def test_every_scenario_documented(self):
         page = (REPO / "docs" / "SCENARIOS.md").read_text(encoding="utf-8")
@@ -32,9 +50,10 @@ class TestScenarioCatalog:
 class TestFaultCatalog:
     def test_faults_md_matches_registry(self):
         """docs/FAULTS.md must be regenerated when the fault registry
-        changes (python tools/gen_fault_docs.py)."""
+        changes (python tools/gen_docs.py)."""
         page = (REPO / "docs" / "FAULTS.md").read_text(encoding="utf-8")
-        assert page == faults_markdown()
+        assert PAGES["docs/FAULTS.md"] is faults_markdown
+        assert page == render("docs/FAULTS.md")
 
     def test_every_fault_documented(self):
         page = (REPO / "docs" / "FAULTS.md").read_text(encoding="utf-8")
@@ -51,12 +70,8 @@ class TestFaultCatalog:
         assert "faults list" in page
         assert "FaultPlan" in page
 
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_fault_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_generator_check_mode_passes(self, gen_docs_check):
+        _assert_page_up_to_date(gen_docs_check, "docs/FAULTS.md")
 
     def test_readme_links_faults_doc(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -78,9 +93,10 @@ class TestFaultCatalog:
 class TestSweepCatalog:
     def test_sweeps_md_matches_registry(self):
         """docs/SWEEPS.md must be regenerated when the sweep registry
-        changes (python tools/gen_sweep_docs.py)."""
+        changes (python tools/gen_docs.py)."""
         page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
-        assert page == sweeps_markdown()
+        assert PAGES["docs/SWEEPS.md"] is sweeps_markdown
+        assert page == render("docs/SWEEPS.md")
 
     def test_every_sweep_documented(self):
         page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
@@ -106,12 +122,8 @@ class TestSweepCatalog:
         assert "`hosts=4096 flows=2000`" in page
         assert "**Wall-time budget:**" in page
 
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_sweep_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_generator_check_mode_passes(self, gen_docs_check):
+        _assert_page_up_to_date(gen_docs_check, "docs/SWEEPS.md")
 
     def test_readme_links_sweeps_doc(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -121,10 +133,11 @@ class TestSweepCatalog:
 class TestExperimentCatalog:
     def test_experiments_md_matches_registry(self):
         """docs/EXPERIMENTS.md must be regenerated when the experiment
-        registry changes (python tools/gen_experiment_docs.py)."""
+        registry changes (python tools/gen_docs.py)."""
         page = (REPO / "docs" / "EXPERIMENTS.md").read_text(
             encoding="utf-8")
-        assert page == experiments_markdown()
+        assert PAGES["docs/EXPERIMENTS.md"] is experiments_markdown
+        assert page == render("docs/EXPERIMENTS.md")
 
     def test_every_experiment_documented(self):
         page = (REPO / "docs" / "EXPERIMENTS.md").read_text(
@@ -144,12 +157,8 @@ class TestExperimentCatalog:
         assert "pending" in page
         assert "switchpointer.experiment-report/v2" in page
 
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable,
-             str(REPO / "tools" / "gen_experiment_docs.py"), "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_generator_check_mode_passes(self, gen_docs_check):
+        _assert_page_up_to_date(gen_docs_check, "docs/EXPERIMENTS.md")
 
     def test_committed_figures_match_committed_reports(self):
         """results/figures/*.svg must be regenerated when a committed
@@ -247,15 +256,11 @@ class TestDiagnosisPage:
 class TestBenchmarksPage:
     def test_benchmarks_md_matches_baselines(self):
         """docs/BENCHMARKS.md must be regenerated when the committed
-        baselines change (python tools/gen_bench_docs.py)."""
-        sys.path.insert(0, str(REPO / "tools"))
-        try:
-            from gen_bench_docs import benchmarks_markdown
-        finally:
-            sys.path.pop(0)
+        baselines change (python tools/gen_docs.py)."""
         page = (REPO / "docs" / "BENCHMARKS.md").read_text(
             encoding="utf-8")
-        assert page == benchmarks_markdown()
+        assert PAGES["docs/BENCHMARKS.md"] is benchmarks_markdown
+        assert page == render("docs/BENCHMARKS.md")
 
     def test_every_baseline_documented(self):
         page = (REPO / "docs" / "BENCHMARKS.md").read_text(
@@ -271,12 +276,8 @@ class TestBenchmarksPage:
             for metric in doc["metrics"]:
                 assert f"`{metric}`" in page
 
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_bench_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_generator_check_mode_passes(self, gen_docs_check):
+        _assert_page_up_to_date(gen_docs_check, "docs/BENCHMARKS.md")
 
     def test_readme_links_benchmarks_doc(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -286,11 +287,12 @@ class TestBenchmarksPage:
 class TestLintingPage:
     def test_linting_md_matches_rule_registry(self):
         """docs/LINTING.md must be regenerated when the rule registry
-        changes (python tools/gen_lint_docs.py)."""
+        changes (python tools/gen_docs.py)."""
         from tools.reprolint.catalog import rules_markdown
 
         page = (REPO / "docs" / "LINTING.md").read_text(encoding="utf-8")
-        assert page == rules_markdown()
+        assert PAGES["docs/LINTING.md"] is rules_markdown
+        assert page == render("docs/LINTING.md")
 
     def test_every_rule_documented(self):
         from tools.reprolint import RULES
@@ -301,12 +303,8 @@ class TestLintingPage:
             assert f"### `{spec.name}`" in page
             assert spec.summary in page
 
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_lint_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_generator_check_mode_passes(self, gen_docs_check):
+        _assert_page_up_to_date(gen_docs_check, "docs/LINTING.md")
 
     def test_linked_from_readme_and_architecture(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -324,18 +322,20 @@ class TestDocsDriver:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_driver_covers_every_generator(self):
-        """A new gen_*_docs.py script must join the driver registry."""
-        sys.path.insert(0, str(REPO))
-        try:
-            from tools.check_docs import CHECKS
-        finally:
-            sys.path.pop(0)
-        driven = {args[0] for _, args in CHECKS}
-        generators = {
-            f"tools/{p.name}" for p in (REPO / "tools").glob("gen_*_docs.py")
+        """Every page stamped as generated must be a gen_docs.py target,
+        and the driver must run gen_docs.py in check mode: a generated
+        page outside the table would pass CI while drifting silently."""
+        from tools.check_docs import CHECKS
+
+        driven = {args for _, args in CHECKS}
+        assert ("tools/gen_docs.py", "--check") in driven
+        assert ("tools/check_links.py",) in driven
+        stamped = {
+            f"docs/{p.name}" for p in (REPO / "docs").glob("*.md")
+            if re.search(r"<!--[^>]*generated", p.read_text(
+                encoding="utf-8"), re.IGNORECASE)
         }
-        assert generators <= driven
-        assert "tools/check_links.py" in driven
+        assert stamped == set(PAGES)
 
 
 class TestArchitecturePage:
@@ -369,9 +369,5 @@ class TestLinkChecker:
         assert proc.returncode == 1
         assert "no/such/file.md" in proc.stdout
 
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_scenario_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_generator_check_mode_passes(self, gen_docs_check):
+        _assert_page_up_to_date(gen_docs_check, "docs/SCENARIOS.md")

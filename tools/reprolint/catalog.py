@@ -14,9 +14,6 @@ from . import rules as _rules  # noqa: F401  (registers the catalogue)
 _HEADER = """\
 # Linting: the reprolint rule catalogue
 
-<!-- GENERATED FILE - do not edit by hand.
-     Regenerate with: python tools/gen_lint_docs.py -->
-
 `tools/reprolint` is an AST-based checker for invariants no stock
 linter sees: determinism (simulated time, seeded RNG streams), the
 registry contracts scenarios/faults/sweeps share, and the sweep-report
@@ -77,6 +74,6 @@ def rules_markdown() -> str:
         "under `tests/reprolint/fixtures/<rule>/` (the\n"
         "`test_every_rule_has_fixture_coverage` test fails until you\n"
         "do), then regenerate this page:\n"
-        "`python tools/gen_lint_docs.py`.\n"
+        "`python tools/gen_docs.py`.\n"
     )
     return "\n".join(parts)

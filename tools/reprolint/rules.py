@@ -54,6 +54,7 @@ TYPED_CORE = (
     f"{SRC}/scenarios/base.py",
     f"{SRC}/simnet/workload.py",
     f"{SRC}/hostd/records.py",
+    f"{SRC}/core/registry.py",
 )
 
 #: Registry packages whose ``__init__.py`` must import every
@@ -694,8 +695,15 @@ class FaultProtocol(Rule):
 # R5: registry-coverage
 # ---------------------------------------------------------------------------
 
-_REGISTER_DECORATORS = {"register", "register_fault"}
-_REGISTER_CALLS = {"register_sweep", "register_experiment", "register_directory"}
+#: the names every catalogue registers through, as a class decorator
+#: (``@register``) or a call (``register_sweep(SweepSpec(...))``)
+_REGISTRATIONS = {
+    "register",
+    "register_fault",
+    "register_sweep",
+    "register_experiment",
+    "register_directory",
+}
 
 
 def _registers_something(
@@ -704,7 +712,7 @@ def _registers_something(
     """What this module registers, if anything (a human-readable tag)."""
     for node in ast.walk(module.tree):
         if isinstance(node, ast.ClassDef):
-            if _decorator_names(node) & _REGISTER_DECORATORS:
+            if _decorator_names(node) & _REGISTRATIONS:
                 return f"registered class {node.name}"
             has_spec = any(
                 isinstance(stmt, ast.Assign)
@@ -718,7 +726,7 @@ def _registers_something(
                 or _reaches(classes, node.name, "Fault")
             ):
                 return f"registrable class {node.name}"
-        elif isinstance(node, ast.Call) and _callee_name(node) in _REGISTER_CALLS:
+        elif isinstance(node, ast.Call) and _callee_name(node) in _REGISTRATIONS:
             return f"a {_callee_name(node)} declaration"
     return None
 
